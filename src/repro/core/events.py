@@ -90,7 +90,7 @@ class MFOutcome:
         return bool(self.matched)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuintupleRow:
     """One row of the paper's Figure 4 table.
 

@@ -39,7 +39,8 @@ arrived, and a Test recorded as matched *waits* for the recorded message.
 from __future__ import annotations
 
 import enum
-from bisect import insort
+import operator
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -50,6 +51,7 @@ from repro.core.pipeline import CDCChunk, assist_occurrence_indices
 from repro.errors import RecordExhausted, ReplayDivergence
 from repro.obs import get_registry
 from repro.replay.chunk_store import RecordArchive
+from repro.sim.communicator import MailBox
 from repro.sim.datatypes import ANY_SOURCE, ANY_TAG, Message, Request, RequestState
 from repro.sim.pmpi import MFController
 from repro.sim.process import MFCall, SimProcess, undelivered_sends
@@ -78,23 +80,99 @@ def groups_from_with_next(with_next_indices: Sequence[int], n: int) -> dict[int,
     return groups
 
 
-def filter_accepts(req: Request, msg: Message) -> bool:
-    """Would this receive request's (source, tag) filter accept ``msg``?
+def filters_accept(filters: set[tuple[int, int]], msg: Message) -> bool:
+    """Does any receive filter ``(source, tag)`` in ``filters`` accept ``msg``?
 
-    State-independent — used for slot reassignment, unlike
-    :meth:`Request.matches` which only applies to pending requests.
+    State-independent — used for pooling, unlike :meth:`Request.matches`
+    which only applies to pending requests. A filter accepts exactly when
+    its source is ``msg.src`` or ANY_SOURCE and its tag is ``msg.tag`` or
+    ANY_TAG, so four lookups test them all.
     """
-    if not req.is_recv:
+    src = msg.src
+    tag = msg.tag
+    return (
+        (src, tag) in filters
+        or (ANY_SOURCE, tag) in filters
+        or (src, ANY_TAG) in filters
+        or (ANY_SOURCE, ANY_TAG) in filters
+    )
+
+
+def _slot_candidates(
+    slots: Sequence[tuple[int, int]], messages: Sequence[tuple[int, int]]
+) -> list[list[int]] | None:
+    """Per message ``(source, tag)``, the indices of the slot filters that
+    accept it: specific filters first, wildcards last, then slot order.
+    None when some message has no compatible slot."""
+    wildness = [(s == ANY_SOURCE, t == ANY_TAG) for s, t in slots]
+    order = [(i, *slots[i]) for i in sorted(range(len(slots)), key=wildness.__getitem__)]
+    candidates: list[list[int]] = []
+    for src, tag in messages:
+        accept = [
+            i
+            for i, s, t in order
+            if (s == ANY_SOURCE or s == src) and (t == ANY_TAG or t == tag)
+        ]
+        if not accept:
+            return None
+        candidates.append(accept)
+    return candidates
+
+
+def _backtrack_slots(candidates: Sequence[Sequence[int]]) -> list[int] | None:
+    """Distinct slot per message by backtracking, in candidate order."""
+    used: set[int] = set()
+    chosen: list[int] = []
+
+    def backtrack(k: int) -> bool:
+        if k == len(candidates):
+            return True
+        for i in candidates[k]:
+            if i in used:
+                continue
+            used.add(i)
+            chosen.append(i)
+            if backtrack(k + 1):
+                return True
+            used.remove(i)
+            chosen.pop()
         return False
-    if req.source != ANY_SOURCE and req.source != msg.src:
-        return False
-    if req.tag != ANY_TAG and req.tag != msg.tag:
-        return False
-    return True
+
+    return chosen if backtrack(0) else None
+
+
+def assign_slots(
+    slots: Sequence[tuple[int, int]], messages: Sequence[tuple[int, int]]
+) -> list[int] | None:
+    """Match each message ``(source, tag)`` to a distinct compatible slot.
+
+    Bipartite matching that prefers specific (non-wildcard) slots so
+    wildcards stay available for other messages. Returns slot indices, or
+    None. The greedy pass (each message takes its first unused candidate)
+    is backtracking's first branch, so it gives the same answer whenever it
+    succeeds; groups are small and it almost always does.
+    """
+    candidates = _slot_candidates(slots, messages)
+    if candidates is None:
+        return None
+    used: set[int] = set()
+    chosen: list[int] = []
+    for accept in candidates:
+        for i in accept:
+            if i not in used:
+                used.add(i)
+                chosen.append(i)
+                break
+        else:
+            return _backtrack_slots(candidates)  # conflict
+    return chosen
 
 
 #: floor value used when a sender can provably never send again.
 _CLOCK_INFINITY = 1 << 62
+
+#: reference-order key of a receive event (Definition 6): clock, then sender.
+_reference_key = operator.attrgetter("clock", "rank")
 
 
 class _Peek(enum.Enum):
@@ -130,9 +208,7 @@ class CallsiteReplayState:
     unmatched_before: dict[int, int] = field(default_factory=dict)
     quota: dict[int, int] = field(default_factory=dict)
     #: chunk members in reference order so far: sorted by (clock, sender).
-    arrived_sorted: list[tuple[tuple[int, int], ReceiveEvent]] = field(
-        default_factory=list
-    )
+    arrived_sorted: list[ReceiveEvent] = field(default_factory=list)
     #: pooled message payloads for arrived events, keyed by (clock, sender).
     pool: dict[tuple[int, int], Message] = field(default_factory=dict)
     #: per-sender clock of the last event fed into the *active* chunk
@@ -158,6 +234,10 @@ class CallsiteReplayState:
     # -- chunk lifecycle ------------------------------------------------------
 
     def _activate_next(self) -> None:
+        # every member of the finished chunk was delivered: drop its tables
+        self.arrived_per_sender = {}
+        self.arrived_sorted = []
+        self.last_clock_by_sender = {}
         if not self.pending_chunks:
             self.chunk = None
             return
@@ -171,13 +251,10 @@ class CallsiteReplayState:
             self.assist = list(zip(chunk.sender_sequence, occurrences))
         else:
             self.assist = None
-        self.arrived_per_sender = {}
-        self.last_clock_by_sender = {}
         self.cursor = 0
         self.groups = groups_from_with_next(chunk.with_next_indices, chunk.num_events)
         self.unmatched_before = dict(chunk.unmatched_runs)
         self.quota = dict(chunk.sender_counts)
-        self.arrived_sorted = []
         backlog = list(self.overflow)
         self.overflow.clear()
         for event, msg in backlog:
@@ -224,7 +301,7 @@ class CallsiteReplayState:
                 f"chunk epoch line ({ceiling}); record/replay clock mismatch",
             )
         self.quota[event.rank] = remaining - 1
-        insort(self.arrived_sorted, (event.key, event))
+        insort(self.arrived_sorted, event, key=_reference_key)
         self.arrived_per_sender.setdefault(event.rank, []).append(event)
         self.pool[event.key] = msg
         self.last_clock_by_sender[event.rank] = event.clock
@@ -278,14 +355,7 @@ class CallsiteReplayState:
             return 0  # some member missing -> nothing is releasable
         # arrived events keyed strictly below the horizon sort before any
         # possible future arrival
-        lo, hi = 0, len(self.arrived_sorted)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.arrived_sorted[mid][0] < horizon:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self.arrived_sorted, horizon, key=_reference_key)
 
     # -- the script cursor ------------------------------------------------------------
 
@@ -315,7 +385,7 @@ class CallsiteReplayState:
             ref_index = self.order[pos]
             if ref_index >= certain:
                 return _Peek.BLOCKED, []
-            events.append(self.arrived_sorted[ref_index][1])
+            events.append(self.arrived_sorted[ref_index])
         return _Peek.GROUP, events
 
     def consume_unmatched(self) -> None:
@@ -337,6 +407,7 @@ class ReplayController(MFController):
     """Force every MF call to return the recorded outcome."""
 
     mode = "replay"
+    consumes_completion_log = True
 
     def __init__(
         self,
@@ -352,7 +423,6 @@ class ReplayController(MFController):
         self.keep_outcomes = keep_outcomes
         self.outcomes: dict[int, list] = {r: [] for r in range(archive.nprocs)}
         self._states: dict[tuple[int, str], CallsiteReplayState] = {}
-        self._stripped: set[int] = set()  # req ids whose message was pooled
         self._floors: dict[int, dict[int, int]] = {
             r: {} for r in range(archive.nprocs)
         }
@@ -391,10 +461,11 @@ class ReplayController(MFController):
         state = self._states.get((proc.rank, call.callsite))
         if state is None:
             raise RecordExhausted(proc.rank, call.callsite)
-        self._absorb_arrivals(proc, call, state)
+        mailbox = proc.mailbox
+        if mailbox.completion_log or mailbox.unexpected:
+            self._absorb_arrivals(mailbox, recvs, state)
 
         kind, events = state.peek()
-        sends = undelivered_sends(call.requests)
         if kind is _Peek.BLOCKED:
             registry = get_registry()
             if registry.enabled:
@@ -416,11 +487,11 @@ class ReplayController(MFController):
                     "expects an unmatched test",
                 )
             state.consume_unmatched()
-            return self._unmatched_decision(call, sends)
+            return self._unmatched_decision(call, undelivered_sends(call.requests))
 
         # kind is GROUP: assign recorded messages to request slots
         self._check_group_arity(proc, call, events)
-        assignment = self._assign_slots(proc, call, state, events)
+        assignment = self._assign_slots(recvs, state, events)
         if assignment is None:
             return None  # a compatible slot is not available yet
         registry = get_registry()
@@ -434,16 +505,15 @@ class ReplayController(MFController):
                     f"replay.wait_us[{state.callsite}]"
                 ).observe(int(wait * 1e6))
         messages = state.consume_group(events)
-        delivery: list[Request] = []
         for slot, msg in zip(assignment, messages):
             self._occupy_slot(proc, slot, msg)
-            delivery.append(slot)
-        return delivery, sends, True
+        # the pooled events go into the outcome: one per delivered receive
+        return assignment, undelivered_sends(call.requests), True, tuple(events)
 
     # -- pooling -----------------------------------------------------------------
 
     def _absorb_arrivals(
-        self, proc: SimProcess, call: MFCall, state: CallsiteReplayState
+        self, mailbox: MailBox, recvs: Sequence[Request], state: CallsiteReplayState
     ) -> None:
         """Strip matching completed receives and drain unexpected ones.
 
@@ -459,89 +529,61 @@ class ReplayController(MFController):
         in completion order (FIFO channels keep that clock-ordered per
         sender), then unexpected messages in arrival order.
         """
-        filters = [r for r in call.requests if r.is_recv]
-        mailbox = proc.mailbox
+        filters = {(r.source, r.tag) for r in recvs}
 
-        fresh: list[Request] = []
-        remaining_log: list[Request] = []
-        for req in mailbox.completion_log:
-            if req.req_id in self._stripped or req.state is not RequestState.COMPLETED:
-                continue  # already stripped or delivered: drop from the log
-            if req.message is not None and any(
-                filter_accepts(r, req.message) for r in filters
-            ):
-                fresh.append(req)
-            else:
-                remaining_log.append(req)
-        mailbox.completion_log[:] = remaining_log
-        fresh.sort(key=lambda r: (r.completion_time, r.completion_seq))
-        for req in fresh:
-            assert req.message is not None
-            msg = req.message
-            self._stripped.add(req.req_id)
-            req.message = None
-            state.feed(ReceiveEvent(msg.src, msg.clock), msg)
-
-        kept: list[Message] = []
-        for msg in mailbox.unexpected:
-            if any(filter_accepts(r, msg) for r in filters):
+        log = mailbox.completion_log
+        if log:
+            # No logged request was stripped or delivered, so none needs
+            # skipping: a request enters the log only on its one PENDING ->
+            # COMPLETED step. Stripping takes it out of the log right here,
+            # and _occupy_slot either completes a PENDING slot without
+            # logging it or reuses a COMPLETED slot that this call's own
+            # filters already stripped (a slot's filter accepts its message).
+            fresh: list[Request] = []
+            remaining_log: list[Request] = []
+            for req in log:
+                if filters_accept(filters, req.message):
+                    fresh.append(req)
+                else:
+                    remaining_log.append(req)
+            log[:] = remaining_log
+            fresh.sort(key=lambda r: (r.completion_time, r.completion_seq))
+            for req in fresh:
+                msg = req.message
+                req.message = None
                 state.feed(ReceiveEvent(msg.src, msg.clock), msg)
-            else:
-                kept.append(msg)
-        mailbox.unexpected[:] = kept
+
+        unexpected = mailbox.unexpected
+        if unexpected:
+            kept: list[Message] = []
+            for msg in unexpected:
+                if filters_accept(filters, msg):
+                    state.feed(ReceiveEvent(msg.src, msg.clock), msg)
+                else:
+                    kept.append(msg)
+            unexpected[:] = kept
 
     # -- slot assignment -----------------------------------------------------------
 
+    @staticmethod
     def _assign_slots(
-        self,
-        proc: SimProcess,
-        call: MFCall,
+        recvs: Sequence[Request],
         state: CallsiteReplayState,
         events: Sequence[ReceiveEvent],
     ) -> list[Request] | None:
-        """Match each group message to a compatible undelivered request slot.
+        """Match each group message to a compatible undelivered request slot
+        of the current call (see :func:`assign_slots`)."""
+        completed, pending = RequestState.COMPLETED, RequestState.PENDING
+        slots = [r for r in recvs if r.state is completed or r.state is pending]
+        pool = state.pool
+        messages = [pool[e.key] for e in events]
+        chosen = assign_slots(
+            [(r.source, r.tag) for r in slots], [(m.src, m.tag) for m in messages]
+        )
+        return None if chosen is None else [slots[i] for i in chosen]
 
-        Backtracking bipartite matching, preferring specific (non-wildcard)
-        slots so wildcards stay available for other messages. Group sizes
-        are small (a handful), so this is cheap.
-        """
-        slots = [
-            r
-            for r in call.requests
-            if r.is_recv and r.state in (RequestState.COMPLETED, RequestState.PENDING)
-        ]
-        messages = [state.pool[e.key] for e in events]
-        candidates: list[list[int]] = []
-        for msg in messages:
-            accept = [i for i, s in enumerate(slots) if filter_accepts(s, msg)]
-            # specific filters first, wildcards last
-            accept.sort(key=lambda i: (slots[i].source == ANY_SOURCE, slots[i].tag == ANY_TAG))
-            if not accept:
-                return None
-            candidates.append(accept)
-
-        used: set[int] = set()
-        chosen: list[int] = []
-
-        def backtrack(k: int) -> bool:
-            if k == len(messages):
-                return True
-            for i in candidates[k]:
-                if i in used:
-                    continue
-                used.add(i)
-                chosen.append(i)
-                if backtrack(k + 1):
-                    return True
-                used.remove(i)
-                chosen.pop()
-            return False
-
-        if not backtrack(0):
-            return None
-        return [slots[i] for i in chosen]
-
-    def _occupy_slot(self, proc: SimProcess, slot: Request, msg: Message) -> None:
+    @staticmethod
+    def _occupy_slot(proc: SimProcess, slot: Request, msg: Message) -> None:
         """Complete ``slot`` in place with the recorded message."""
         if slot.state is RequestState.PENDING:
             # cannibalize the posted receive: the tool returns recorded
@@ -549,18 +591,17 @@ class ReplayController(MFController):
             # surface in the unexpected queue and be drained then.
             proc.mailbox.cancel(slot)
             slot.state = RequestState.COMPLETED
-        self._stripped.add(slot.req_id)
         slot.message = msg
 
     @staticmethod
     def _unmatched_decision(call: MFCall, sends: list[Request]):
         """Reproduce record-time flag/send behaviour for an unmatched test."""
         if call.kind is MFKind.TESTANY:
-            return ([], sends[:1], True) if sends else ([], [], False)
+            return ([], sends[:1], True, None) if sends else ([], [], False, None)
         if call.kind is MFKind.TESTSOME:
-            return ([], sends, bool(sends))
+            return [], sends, bool(sends), None
         # TEST, TESTALL: deliver nothing, flag false
-        return [], [], False
+        return [], [], False, None
 
     @staticmethod
     def _check_group_arity(proc: SimProcess, call: MFCall, group: Sequence) -> None:

@@ -41,7 +41,10 @@ class MailBox:
     _last_seq_by_src: dict[int, int] = field(default_factory=dict)
     #: completions since the last sweep by a matching function, in
     #: completion order; consumed by controllers for callsite binding.
-    completion_log: list[Request] = field(default_factory=list)
+    #: None when the controller never reads it (see
+    #: ``MFController.consumes_completion_log``): the log would otherwise
+    #: keep every completed request alive for the engine's lifetime.
+    completion_log: list[Request] | None = field(default_factory=list)
 
     def post_recv(self, req: Request) -> None:
         """Post a nonblocking receive; may match an unexpected message."""
@@ -82,7 +85,9 @@ class MailBox:
         req.message = msg
         req.completion_time = time
         req.completion_seq = next(_completion_counter)
-        self.completion_log.append(req)
+        log = self.completion_log
+        if log is not None:
+            log.append(req)
 
     def cancel(self, req: Request) -> None:
         """Remove a pending posted receive (MPI_Cancel analogue)."""

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from repro.errors import DeadlockError, SimulationError
 from repro.obs import get_registry, span
+from repro.sim.communicator import MailBox
 from repro.sim.datatypes import Message, Request, RequestState
 from repro.sim.network import Network, payload_nbytes
 from repro.sim.pmpi import MFController
@@ -81,7 +82,15 @@ class Engine:
         )
         if len(programs) != nprocs:
             raise SimulationError("one program per rank required")
-        self.procs = [SimProcess(rank, prog) for rank, prog in enumerate(programs)]
+        # Only a controller that reads the completion log gets one; without
+        # a reader it would pin every completed request and its payload.
+        log = self.controller.consumes_completion_log
+        self.procs = [
+            SimProcess(
+                rank, prog, mailbox=MailBox(rank, completion_log=[] if log else None)
+            )
+            for rank, prog in enumerate(programs)
+        ]
         if track_vector_clocks:
             from repro.clocks.vector import VectorClock
 

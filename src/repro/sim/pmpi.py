@@ -43,15 +43,21 @@ def finalize_delivery(
     recv_order: Sequence[Request],
     sends: Sequence[Request],
     flag: bool,
+    events: tuple[ReceiveEvent, ...] | None,
+    unmatched: dict[tuple[str, MFKind], MFOutcome],
 ) -> tuple[MFResult, MFOutcome | None]:
     """Apply a delivery decision: tick clocks, mark state, build results.
 
     ``recv_order`` is the order in which receive completions are handed to
-    the application — the order CDC records and replays. Returns the
-    application-facing result and the MF outcome to record (None when the
-    call involves no receive requests at all: pure send synchronization is
-    deterministic and outside the record, like the paper's sole focus on
-    receives).
+    the application — the order CDC records and replays. ``events`` are
+    their receive events when the controller already holds them (replay
+    pools one per arrival); when None they are built from the messages.
+    An unmatched test's outcome depends only on (callsite, kind), so it is
+    taken from, or added to, the caller's ``unmatched`` table.
+    Returns the application-facing result and the MF outcome to record
+    (None when the call involves no receive requests at all: pure send
+    synchronization is deterministic and outside the record, like the
+    paper's sole focus on receives).
     """
     if recv_order:
         if proc.vector_clock is None:
@@ -97,13 +103,16 @@ def finalize_delivery(
 
     outcome: MFOutcome | None = None
     if recv_order:
-        outcome = MFOutcome(
-            call.callsite,
-            call.kind,
-            tuple(ReceiveEvent(req.message.src, req.message.clock) for req in recv_order),
-        )
+        if events is None:
+            events = tuple(
+                ReceiveEvent(req.message.src, req.message.clock) for req in recv_order
+            )
+        outcome = MFOutcome(call.callsite, call.kind, events)
     elif call.kind.is_test and any(r.is_recv for r in requests):
-        outcome = MFOutcome(call.callsite, call.kind, ())
+        key = (call.callsite, call.kind)
+        outcome = unmatched.get(key)
+        if outcome is None:
+            outcome = unmatched[key] = MFOutcome(call.callsite, call.kind, ())
     # A wait-family call that delivered only sends produces no outcome:
     # it matched nothing the record cares about and cannot be "unmatched".
     return result, outcome
@@ -113,9 +122,15 @@ class MFController:
     """Natural-semantics controller (no recording, no replay)."""
 
     mode = "passthrough"
+    #: whether ``decide`` reads ``MailBox.completion_log`` (the engine only
+    #: keeps the log for controllers that do).
+    consumes_completion_log = False
 
     def __init__(self) -> None:
         self.engine = None
+        #: one shared frozen outcome per (callsite, kind) for unmatched
+        #: tests, the most common outcome of polling loops.
+        self._unmatched: dict[tuple[str, MFKind], MFOutcome] = {}
 
     def attach(self, engine) -> None:
         self.engine = engine
@@ -127,9 +142,11 @@ class MFController:
         decision = self.decide(proc, call)
         if decision is None:
             return None
-        recv_order, sends, flag = decision
+        recv_order, sends, flag, events = decision
         messages = [req.message for req in recv_order]
-        result, outcome = finalize_delivery(proc, call, recv_order, sends, flag)
+        result, outcome = finalize_delivery(
+            proc, call, recv_order, sends, flag, events, self._unmatched
+        )
         if outcome is not None:
             self.on_outcome(proc, outcome)
             if outcome.matched:
@@ -152,8 +169,10 @@ class MFController:
 
     def decide(
         self, proc: SimProcess, call: MFCall
-    ) -> tuple[list[Request], list[Request], bool] | None:
-        """Natural MPI semantics: (recv delivery order, sends, flag) or block.
+    ) -> tuple[list[Request], list[Request], bool, None] | None:
+        """Natural MPI semantics: (recv delivery order, sends, flag, events)
+        or None to block. ``events`` is always None here: the outcome's
+        receive events are built from the delivered messages.
 
         Structured as one branch per MF family so each kind computes only
         the state it needs — ``decide`` runs once per engine MF evaluation,
@@ -169,18 +188,18 @@ class MFController:
                 req = requests[0]
                 if not req.is_recv:
                     sends = [req] if req.state is completed else []
-                    return [], sends, True
+                    return [], sends, True, None
                 if req.state is completed:
-                    return [req], [], True
-                return ([], [], False) if kind is MFKind.TEST else None
+                    return [req], [], True, None
+                return ([], [], False, None) if kind is MFKind.TEST else None
             if not requests[0].is_recv:
-                return [], undelivered_sends(requests), True
+                return [], undelivered_sends(requests), True, None
             ready = MailBox.completed_undelivered(
                 [r for r in requests if r.is_recv]
             )
             if ready:
-                return ready[:1], [], True
-            return ([], [], False) if kind is MFKind.TEST else None
+                return ready[:1], [], True, None
+            return ([], [], False, None) if kind is MFKind.TEST else None
 
         if kind is MFKind.TESTSOME or kind is MFKind.WAITSOME:
             sends = undelivered_sends(requests)
@@ -188,19 +207,19 @@ class MFController:
                 [r for r in requests if r.is_recv]
             )
             if ready or sends:
-                return ready, sends, True
-            return ([], [], False) if kind is MFKind.TESTSOME else None
+                return ready, sends, True, None
+            return ([], [], False, None) if kind is MFKind.TESTSOME else None
 
         if kind is MFKind.TESTANY or kind is MFKind.WAITANY:
             ready = MailBox.completed_undelivered(
                 [r for r in requests if r.is_recv]
             )
             if ready:
-                return ready[:1], [], True
+                return ready[:1], [], True, None
             sends = undelivered_sends(requests)
             if sends:
-                return [], sends[:1], True
-            return ([], [], False) if kind is MFKind.TESTANY else None
+                return [], sends[:1], True, None
+            return ([], [], False, None) if kind is MFKind.TESTANY else None
 
         if kind is MFKind.TESTALL or kind is MFKind.WAITALL:
             # The "all" family reports through the statuses array, which
@@ -222,8 +241,8 @@ class MFController:
                 elif state is not completed and state is not delivered_state:
                     all_done = False
             if all_done:
-                return ready, undelivered_sends(requests), True
-            return ([], [], False) if kind is MFKind.TESTALL else None
+                return ready, undelivered_sends(requests), True, None
+            return ([], [], False, None) if kind is MFKind.TESTALL else None
         raise AssertionError(f"unhandled MF kind {kind}")  # pragma: no cover
 
     # -- hooks for subclasses ----------------------------------------------
